@@ -380,16 +380,20 @@ func (ex *executor) evalWhere(elems []PatternElement) ([]row, error) {
 	}
 	var err error
 	if ex.limit > 0 && len(optionals) == 0 && len(unions) == 0 && len(closures) == 0 && len(subs) == 0 && len(binds) == 0 {
+		var anchors []string
+		for _, v := range values {
+			anchors = append(anchors, v.Vars...)
+		}
 		if ex.prof == nil {
-			return ex.joinDFS(rows, patterns, filters)
+			return ex.joinDFS(rows, patterns, filters, anchors, nil)
 		}
 		// The DFS interleaves all patterns and filters per solution path,
-		// so it profiles as one operator.
+		// so it profiles as one operator with one child per depth.
 		pn := ex.prof.open("dfs", fmt.Sprintf("%d patterns, budget %d", len(patterns), ex.limit), len(rows))
 		if ex.workers > 1 && ex.limit != 1 && len(patterns) > 0 {
 			pn.Workers = ex.workers
 		}
-		out, derr := ex.joinDFS(rows, patterns, filters)
+		out, derr := ex.joinDFS(rows, patterns, filters, anchors, pn)
 		ex.profClose(pn, len(out))
 		return out, derr
 	}
@@ -811,41 +815,50 @@ func (ex *executor) joinPatternSeq(rows []row, tp TriplePattern) ([]row, error) 
 // greedy heuristic, then solutions are produced one at a time by
 // depth-first backtracking, applying each filter at the first depth
 // where its variables are bound, and stopping at ex.limit solutions.
-// With more than one worker and a budget above one, the search runs in
-// parallel over a depth-1 frontier (see joinDFSPar).
-func (ex *executor) joinDFS(seed []row, patterns []TriplePattern, filters []Expr) ([]row, error) {
+// anchors names the VALUES variables of the group; when two or more
+// of them bind pattern variables, a reducer (semijoin.go) narrows
+// every variable to the values it can take in a solution, and the DFS
+// skips rows outside those sets. pn, when non-nil, is the profile node
+// the DFS reports under: a semijoin child for the reduction and one
+// child per depth. With more than one worker and a budget above one,
+// the search runs in parallel over a depth-1 frontier (see
+// joinDFSPar).
+func (ex *executor) joinDFS(seed []row, patterns []TriplePattern, filters []Expr, anchors []string, pn *ProfileNode) ([]row, error) {
 	plan := ex.planDFS(seed, patterns, filters)
+	if plan.red = ex.newReducer(seed, patterns, anchors); plan.red != nil {
+		plan.red.timed = pn != nil
+		ex.freshSlots(plan, seed)
+	}
+	var st []dfsDepth
+	if pn != nil {
+		st = make([]dfsDepth, len(plan.order)+1)
+		defer plan.profile(pn, seed, st)
+	}
 	// ASK and EXISTS (budget 1) stay sequential: the expected work is a
 	// single path, and widening the frontier would be pure speculation.
 	if ex.workers > 1 && ex.limit != 1 && len(plan.order) > 0 {
-		return ex.joinDFSPar(seed, plan)
+		return ex.joinDFSPar(seed, plan, st)
 	}
-	return ex.runDFS(seed, plan, 0)
-}
-
-// schedFilter is a filter pinned to the first DFS depth where its
-// variables are all bound; depth -1 means before any pattern join.
-type schedFilter struct {
-	expr  Expr
-	depth int
+	return ex.runDFS(seed, plan, 0, st)
 }
 
 // dfsPlan is the static part of a short-circuit DFS join: the greedy
-// pattern order and the filter schedule. A plan is immutable once
-// built, so worker clones share it.
+// pattern order, the filters pinned to each depth and, when the
+// reduction applies, its reducer and the slots each depth binds first.
+// Depth d is stored at index d+1; index 0 holds the seed rows. Apart
+// from the reducer, which only the sequential search advances, a plan
+// is immutable once built, so worker clones share it.
 type dfsPlan struct {
-	order []TriplePattern
-	sched []schedFilter
+	order   []TriplePattern
+	filters [][]Expr
+	red     *reducer
+	fresh   [][]int
 }
 
-func (p *dfsPlan) filtersAt(depth int) []Expr {
-	var out []Expr
-	for _, sf := range p.sched {
-		if sf.depth == depth {
-			out = append(out, sf.expr)
-		}
-	}
-	return out
+// dfsDepth counts what one DFS depth did with the rows it produced:
+// visited, ruled out by the candidate sets, dropped by filters.
+type dfsDepth struct {
+	visited, pruned, filtered int
 }
 
 // planDFS computes the greedy pattern order (simulating bound
@@ -876,7 +889,7 @@ func (ex *executor) planDFS(seed []row, patterns []TriplePattern, filters []Expr
 			}
 		}
 	}
-	p := &dfsPlan{order: order}
+	p := &dfsPlan{order: order, filters: make([][]Expr, len(order)+1)}
 	for _, f := range filters {
 		if f == nil || containsAggregate(f) {
 			continue
@@ -902,16 +915,88 @@ func (ex *executor) planDFS(seed []row, patterns []TriplePattern, filters []Expr
 		if len(order) == 0 {
 			depth = -1
 		}
-		p.sched = append(p.sched, schedFilter{expr: f, depth: depth})
+		p.filters[depth+1] = append(p.filters[depth+1], f)
 	}
 	return p
 }
 
+// freshSlots records the slots to check against the candidate sets
+// at each depth: every slot for seed rows, and at depth d the slots
+// its pattern binds first.
+func (ex *executor) freshSlots(p *dfsPlan, seed []row) {
+	p.fresh = make([][]int, len(p.order)+1)
+	bound := make([]bool, len(ex.varSeq))
+	for s := range bound {
+		p.fresh[0] = append(p.fresh[0], s)
+		bound[s] = s < len(seed[0]) && seed[0][s] != 0
+	}
+	for d, tp := range p.order {
+		for _, n := range []Node{tp.S, tp.P, tp.O} {
+			if !n.IsVar {
+				continue
+			}
+			if s, ok := ex.slots[n.Var]; ok && s < len(bound) && !bound[s] {
+				p.fresh[d+1] = append(p.fresh[d+1], s)
+				bound[s] = true
+			}
+		}
+	}
+}
+
+// keep reports whether row r, produced at depth (-1 for a seed row),
+// survives the candidate sets and the filters pinned there, counting
+// the outcome in st when profiling. Each row visited lets the reducer
+// catch up before the check.
+func (ex *executor) keep(p *dfsPlan, r row, depth int, st []dfsDepth) bool {
+	var c *dfsDepth
+	if st != nil {
+		c = &st[depth+1]
+		c.visited++
+	}
+	if p.red != nil {
+		p.red.visit()
+		if !p.red.admits(r, p.fresh[depth+1]) {
+			if c != nil {
+				c.pruned++
+			}
+			return false
+		}
+	}
+	for _, f := range p.filters[depth+1] {
+		keep, err := evalBool(f, rowBinding{ex: ex, r: r})
+		if err != nil || !keep {
+			if c != nil {
+				c.filtered++
+			}
+			return false
+		}
+	}
+	return true
+}
+
+// profile adds the DFS's children under its profile node: the
+// reducer's semijoin node, then one node per depth with the rows it
+// visited (in), kept (out), pruned and filtered.
+func (p *dfsPlan) profile(pn *ProfileNode, seed []row, st []dfsDepth) {
+	if p.red != nil {
+		pn.Children = append(pn.Children, p.red.profile(seed, p.fresh[0]))
+	}
+	for i, c := range st {
+		detail := "seed"
+		if i > 0 {
+			detail = fmt.Sprintf("%d %s", i-1, strings.TrimSuffix(p.order[i-1].String(), " ."))
+		}
+		pn.Children = append(pn.Children, &ProfileNode{Op: "depth", Detail: detail, Est: -1,
+			RowsIn: c.visited, RowsOut: c.visited - c.pruned - c.filtered, Pruned: c.pruned, Filtered: c.filtered})
+	}
+}
+
 // runDFS runs the depth-first join over the seed rows, honouring
-// ex.limit. With fromDepth 0 the seed rows are padded and seed filters
-// applied; with a positive fromDepth the rows are assumed to be
-// already-filtered frontier rows from that depth (parallel workers).
-func (ex *executor) runDFS(seed []row, plan *dfsPlan, fromDepth int) ([]row, error) {
+// ex.limit. With fromDepth 0 the seed rows are padded and checked;
+// with a positive fromDepth the rows are assumed to be already-checked
+// frontier rows from that depth (parallel workers). st, when non-nil,
+// receives the per-depth counts.
+func (ex *executor) runDFS(seed []row, plan *dfsPlan, fromDepth int, st []dfsDepth) ([]row, error) {
 	var out []row
 	// The DFS explores an unbounded search space before reaching its
 	// solution budget; honour cancellation inside the recursion too.
@@ -926,24 +1011,13 @@ func (ex *executor) runDFS(seed []row, plan *dfsPlan, fromDepth int) ([]row, err
 			out = append(out, r)
 			return len(out) < ex.limit
 		}
-		cont := true
 		for _, nr := range ex.matchOne(r, plan.order[depth]) {
-			ok := true
-			for _, f := range plan.filtersAt(depth) {
-				keep, err := evalBool(f, rowBinding{ex: ex, r: nr})
-				if err != nil || !keep {
-					ok = false
-					break
-				}
-			}
-			if ok && !rec(nr, depth+1) {
-				cont = false
-				break
+			if ex.keep(plan, nr, depth, st) && !rec(nr, depth+1) {
+				return false
 			}
 		}
-		return cont
+		return true
 	}
-	seedFilters := plan.filtersAt(-1)
 	for _, r := range seed {
 		if fromDepth > 0 {
 			if !rec(r, fromDepth) {
@@ -952,15 +1026,7 @@ func (ex *executor) runDFS(seed []row, plan *dfsPlan, fromDepth int) ([]row, err
 			continue
 		}
 		r = ex.extendOne(r)
-		ok := true
-		for _, f := range seedFilters {
-			keep, err := evalBool(f, rowBinding{ex: ex, r: r})
-			if err != nil || !keep {
-				ok = false
-				break
-			}
-		}
-		if ok && !rec(r, 0) {
+		if ex.keep(plan, r, -1, st) && !rec(r, 0) {
 			break
 		}
 	}
@@ -1354,7 +1420,7 @@ func (b rowBinding) exists(e ExistsExpr) bool {
 	defer func() { ex.limit = saved }()
 	seed := []row{append(row(nil), b.r...)}
 	filters := append([]Expr(nil), e.Filters...)
-	rows, err := ex.joinDFS(seed, e.Patterns, filters)
+	rows, err := ex.joinDFS(seed, e.Patterns, filters, nil, nil)
 	return err == nil && len(rows) > 0
 }
 

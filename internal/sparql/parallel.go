@@ -171,42 +171,41 @@ func (ex *executor) runIndexed(n int, wide bool, fn func(w *executor, i int)) {
 // whole depth-1 frontier is materialized even if the budget would have
 // been reached early — acceptable because the planner puts the most
 // selective pattern first, making the frontier the smallest available.
-func (ex *executor) joinDFSPar(seed []row, plan *dfsPlan) ([]row, error) {
+func (ex *executor) joinDFSPar(seed []row, plan *dfsPlan, st []dfsDepth) ([]row, error) {
+	// The workers share the plan, so the reduction completes first.
+	if plan.red != nil {
+		plan.red.finish()
+	}
 	var frontier []row
-	seedFilters := plan.filtersAt(-1)
-	depth0 := plan.filtersAt(0)
 	for _, r := range seed {
 		if err := ex.ctxErr(); err != nil {
 			return nil, err
 		}
 		r = ex.extendOne(r)
-		ok := true
-		for _, f := range seedFilters {
-			keep, err := evalBool(f, rowBinding{ex: ex, r: r})
-			if err != nil || !keep {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !ex.keep(plan, r, -1, st) {
 			continue
 		}
 		for _, nr := range ex.matchOne(r, plan.order[0]) {
-			keepRow := true
-			for _, f := range depth0 {
-				keep, err := evalBool(f, rowBinding{ex: ex, r: nr})
-				if err != nil || !keep {
-					keepRow = false
-					break
-				}
-			}
-			if keepRow {
+			if ex.keep(plan, nr, 0, st) {
 				frontier = append(frontier, nr)
 			}
 		}
 	}
+	var mu sync.Mutex
 	out, err := ex.runRowChunks(frontier, func(w *executor, chunk []row) ([]row, error) {
-		return w.runDFS(chunk, plan, 1)
+		if st == nil {
+			return w.runDFS(chunk, plan, 1, nil)
+		}
+		wst := make([]dfsDepth, len(st))
+		rows, err := w.runDFS(chunk, plan, 1, wst)
+		mu.Lock()
+		for i, c := range wst {
+			st[i].visited += c.visited
+			st[i].pruned += c.pruned
+			st[i].filtered += c.filtered
+		}
+		mu.Unlock()
+		return rows, err
 	})
 	if err != nil {
 		return nil, err

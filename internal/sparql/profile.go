@@ -25,9 +25,9 @@ import (
 // where one existed, and the operator's wall time.
 type ProfileNode struct {
 	// Op names the operator: "query", "scan", "index join", "filter",
-	// "dfs", "values", "text-seed", "subquery", "closure", "union",
-	// "optional", "bind", "aggregate", "project", "construct",
-	// "modifiers".
+	// "dfs" (with "semijoin" and "depth" children), "values",
+	// "text-seed", "subquery", "closure", "union", "optional", "bind",
+	// "aggregate", "project", "construct", "modifiers".
 	Op string
 	// Detail is the operator-specific description (the triple pattern,
 	// filter expression, keyword, ...).
@@ -42,6 +42,12 @@ type ProfileNode struct {
 	// Workers is the fan-out width when the operator ran on the worker
 	// pool; 0 or 1 means it ran sequentially.
 	Workers int
+	// Pruned and Filtered are set on the "depth" children of a dfs
+	// node, where RowsIn counts the rows the depth visited and RowsOut
+	// those it kept: Pruned rows bound a value outside the semi-join
+	// candidate sets, Filtered rows failed a filter pinned there.
+	Pruned   int
+	Filtered int
 	// Wall is the operator's elapsed wall time.
 	Wall     time.Duration
 	Children []*ProfileNode
@@ -141,7 +147,14 @@ func writeProfileNode(b *strings.Builder, n *ProfileNode, depth int) {
 	if n.Est >= 0 {
 		fmt.Fprintf(b, "est=%d ", n.Est)
 	}
-	fmt.Fprintf(b, "in=%d out=%d wall=%s", n.RowsIn, n.RowsOut, n.Wall.Round(time.Microsecond))
+	fmt.Fprintf(b, "in=%d out=%d", n.RowsIn, n.RowsOut)
+	if n.Pruned > 0 || n.Filtered > 0 {
+		fmt.Fprintf(b, " pruned=%d filtered=%d", n.Pruned, n.Filtered)
+	}
+	// DFS depths interleave, so they carry no wall time of their own.
+	if n.Op != "depth" {
+		fmt.Fprintf(b, " wall=%s", n.Wall.Round(time.Microsecond))
+	}
 	if n.Workers > 1 {
 		fmt.Fprintf(b, " workers=%d", n.Workers)
 	}

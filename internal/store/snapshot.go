@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"re2xolap/internal/rdf"
 )
@@ -73,27 +74,28 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("store: unsupported snapshot version %d", version)
 	}
 	s := New()
-	nTerms, err := binary.ReadUvarint(br)
+	nTerms, err := readCount(br, r, "term", minTermBytes)
 	if err != nil {
-		return nil, fmt.Errorf("store: term count: %w", err)
+		return nil, err
 	}
-	terms := make([]rdf.Term, nTerms)
-	for i := range terms {
+	terms := make([]rdf.Term, 0, min(nTerms, maxPrealloc))
+	for i := uint64(0); i < nTerms; i++ {
 		t, err := readTerm(br)
 		if err != nil {
 			return nil, fmt.Errorf("store: term %d: %w", i, err)
 		}
-		terms[i] = t
+		terms = append(terms, t)
 		if id := s.dict.Encode(t); id != ID(i+1) {
 			return nil, fmt.Errorf("store: duplicate term %v in snapshot", t)
 		}
 	}
-	nTriples, err := binary.ReadUvarint(br)
+	nTriples, err := readCount(br, r, "triple", minTripleBytes)
 	if err != nil {
-		return nil, fmt.Errorf("store: triple count: %w", err)
+		return nil, err
 	}
-	entries := make([]spoTriple, nTriples)
-	for i := range entries {
+	entries := make([]spoTriple, 0, min(nTriples, maxPrealloc))
+	for i := uint64(0); i < nTriples; i++ {
+		var e spoTriple
 		for j := 0; j < 3; j++ {
 			v, err := binary.ReadUvarint(br)
 			if err != nil {
@@ -102,12 +104,13 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 			if v == 0 || v > nTerms {
 				return nil, fmt.Errorf("store: triple %d references unknown term %d", i, v)
 			}
-			entries[i][j] = ID(v)
+			e[j] = ID(v)
 		}
+		entries = append(entries, e)
 		// Rebuild the full-text index for literal objects.
-		obj := terms[entries[i][2]-1]
+		obj := terms[e[2]-1]
 		if obj.IsLiteral() {
-			s.text.add(entries[i][2], obj.Value)
+			s.text.add(e[2], obj.Value)
 		}
 	}
 	// The snapshot preserved SPO order; rebuild the other permutations.
@@ -123,6 +126,57 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		s.base[i].sortEntries()
 	}
 	return s, nil
+}
+
+// A count header is checked before anything is allocated for it, so a
+// corrupt or hostile snapshot cannot make the reader allocate more
+// than its input could describe. The smallest term is a kind byte and
+// an empty value's length; the smallest triple is three one-byte IDs.
+// Readers that cannot tell how much input is left still preallocate at
+// most maxPrealloc items and grow as the items actually arrive.
+const (
+	minTermBytes   = 2
+	minTripleBytes = 3
+	maxPrealloc    = 1 << 16
+)
+
+// readCount reads an item count and rejects one that exceeds the ID
+// range or that the unread input (br's buffer plus what r has left,
+// when r can tell) is too short to hold at minBytes per item.
+func readCount(br *bufio.Reader, r io.Reader, what string, minBytes uint64) (uint64, error) {
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, fmt.Errorf("store: %s count: %w", what, err)
+	}
+	if n > math.MaxUint32 {
+		return 0, fmt.Errorf("store: %s count %d exceeds the ID range", what, n)
+	}
+	if rest, ok := unread(r); ok {
+		if rest += int64(br.Buffered()); n > uint64(rest)/minBytes {
+			return 0, fmt.Errorf("store: %s count %d does not fit in the %d bytes left", what, n, rest)
+		}
+	}
+	return n, nil
+}
+
+// unread reports how many bytes r has left, for the readers that can
+// say: in-memory readers and seekable files.
+func unread(r io.Reader) (int64, bool) {
+	switch x := r.(type) {
+	case interface{ Len() int }:
+		return int64(x.Len()), true
+	case io.Seeker:
+		cur, err := x.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return 0, false
+		}
+		end, err := x.Seek(0, io.SeekEnd)
+		if _, err2 := x.Seek(cur, io.SeekStart); err != nil || err2 != nil {
+			return 0, false
+		}
+		return end - cur, true
+	}
+	return 0, false
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) {

@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -81,6 +84,41 @@ func TestSnapshotErrors(t *testing.T) {
 	for i, b := range bad {
 		if _, err := ReadSnapshot(bytes.NewReader(b)); err == nil {
 			t.Errorf("case %d: bad snapshot accepted", i)
+		}
+	}
+}
+
+// TestSnapshotRejectsHugeCounts checks that a count header claiming
+// more items than the input holds fails fast instead of allocating for
+// the claim: 2^40 terms overflows the ID range, 2^31 terms cannot fit
+// in the few bytes that follow, and a reader that cannot tell its
+// length fails at the end of its input after allocating only what
+// arrived.
+func TestSnapshotRejectsHugeCounts(t *testing.T) {
+	header := func(counts ...uint64) []byte {
+		b := []byte("R2XS\x01")
+		for _, n := range counts {
+			b = binary.AppendUvarint(b, n)
+		}
+		return append(b, "\x00\x03abc"...)
+	}
+	cases := map[string]io.Reader{
+		"2^40 terms":              bytes.NewReader(header(1 << 40)),
+		"2^31 terms":              bytes.NewReader(header(1 << 31)),
+		"2^31 terms, no length":   io.MultiReader(bytes.NewReader(header(1 << 31))),
+		"2^40 triples":            bytes.NewReader(append(header(1), binary.AppendUvarint(nil, 1<<40)...)),
+		"2^31 triples, no length": io.MultiReader(bytes.NewReader(append(header(1), binary.AppendUvarint(nil, 1<<31)...))),
+	}
+	for name, r := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadSnapshot(r)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: snapshot accepted", name)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<20 {
+			t.Errorf("%s: allocated %d bytes before failing", name, grown)
 		}
 	}
 }
