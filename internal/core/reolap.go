@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"re2xolap/internal/endpoint"
+	"re2xolap/internal/lru"
 	"re2xolap/internal/par"
 	"re2xolap/internal/qb"
 	"re2xolap/internal/rdf"
@@ -42,8 +43,16 @@ type Engine struct {
 	// query returns, so a pool larger than the limiter merely queues.
 	Workers int
 
-	cache *matchCache
-	steps *stepMetrics // per-step query series; nil without Instrument
+	// cache is the keyword-match LRU, one of the "optimizations for
+	// core operations" the paper's system implements: exploratory
+	// sessions re-resolve the same keywords constantly (synthesis
+	// retries, contrast, negatives), and member matching is the only
+	// synthesis step that touches the full-text machinery. flight
+	// coalesces concurrent misses for one key into a single endpoint
+	// resolution.
+	cache  *lru.Cache[[]Match]
+	flight lru.Group[[]Match]
+	steps  *stepMetrics // per-step query series; nil without Instrument
 
 	// skipped counts interpretation combinations dropped because their
 	// validation query failed transiently (see SkippedCombinations).
@@ -60,7 +69,7 @@ func NewEngine(c endpoint.Client, g *vgraph.Graph, cfg qb.Config) *Engine {
 		MaxCandidates:   1000,
 		MaxCombinations: 5000,
 		ValuesChunk:     500,
-		cache:           newMatchCache(256),
+		cache:           lru.New[[]Match](256),
 	}
 }
 
@@ -74,7 +83,7 @@ func (e *Engine) SkippedCombinations() int64 { return e.skipped.Load() }
 // underlying data changes (e.g. together with vgraph.Refresh).
 func (e *Engine) InvalidateCache() {
 	if e.cache != nil {
-		e.cache.purge()
+		e.cache.Purge()
 	}
 }
 
@@ -89,27 +98,25 @@ func (e *Engine) MatchItem(ctx context.Context, item ExampleItem) ([]Match, erro
 	if e.DisableMatchCache || e.cache == nil {
 		return e.matchItemUncached(ctx, item)
 	}
-	cacheKey := item.Keyword + "\x00" + item.IRI
+	key := item.Keyword + "\x00" + item.IRI
 	for {
-		ms, hit, f, leader := e.cache.lookupOrStart(cacheKey)
-		if hit {
+		if ms, ok := e.cache.Get(key); ok {
 			return ms, nil
 		}
-		if leader {
+		ms, shared, err := e.flight.Do(ctx, key, func() ([]Match, error) {
+			// A flight for key may have stored its result between the
+			// miss above and this call becoming leader.
+			if ms, ok := e.cache.Get(key); ok {
+				return ms, nil
+			}
 			ms, err := e.matchItemUncached(ctx, item)
 			if err == nil {
-				e.cache.put(cacheKey, ms)
+				e.cache.Put(key, ms)
 			}
-			e.cache.endFlight(cacheKey, f, ms, err)
 			return ms, err
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-f.done:
-		}
-		if f.err == nil {
-			return f.ms, nil
+		})
+		if err == nil || !shared || ctx.Err() != nil {
+			return ms, err
 		}
 		// The leader failed — possibly transiently, possibly because its
 		// own context was cancelled. Retry as leader rather than

@@ -135,11 +135,8 @@ func classifyLocal(ctx context.Context, err error) error {
 type HTTPClient struct {
 	// Endpoint is the query URL, e.g. "http://localhost:8080/sparql".
 	Endpoint string
-	// HTTP is the underlying client; http.DefaultClient if nil.
-	//
-	// Deprecated: set it via WithHTTPClient/WithTimeout at
-	// construction instead of mutating the field afterwards.
-	HTTP *http.Client
+	// http is the underlying client (WithHTTPClient/WithTimeout).
+	http *http.Client
 
 	m    *clientMetrics
 	slow *obs.SlowLog
@@ -160,7 +157,7 @@ func NewHTTPClient(endpoint string, opts ...Option) *HTTPClient {
 	}
 	return &HTTPClient{
 		Endpoint: endpoint,
-		HTTP:     hc,
+		http:     hc,
 		m:        newClientMetrics(o.registry, "http"),
 		slow:     o.slow,
 	}
@@ -215,7 +212,7 @@ func (c *HTTPClient) do(ctx context.Context, query string) (*sparql.Results, uin
 			req.Header.Set("traceparent", tp)
 		}
 	}
-	hc := c.HTTP
+	hc := c.http
 	if hc == nil {
 		hc = http.DefaultClient
 	}

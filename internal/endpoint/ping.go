@@ -50,7 +50,7 @@ func (c *HTTPClient) Ping(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("endpoint: build health request: %w", err)
 	}
-	hc := c.HTTP
+	hc := c.http
 	if hc == nil {
 		hc = http.DefaultClient
 	}

@@ -199,27 +199,36 @@ func recordSlow(l *obs.SlowLog, query string, meta QueryMeta, err error) {
 	if !l.Slow(meta.Wall) {
 		return
 	}
-	entry := obs.SlowQuery{
+	var phases map[string]time.Duration
+	if meta.HasPhases {
+		phases = meta.Phases.Map()
+	}
+	l.Record(newQueryRecord(query, meta, meta.Rows, meta.Wall, phases, err))
+}
+
+// newQueryRecord builds the one per-query record that the slow-query
+// log and the /debug/queries ring both take.
+func newQueryRecord(query string, meta QueryMeta, rows int, wall time.Duration, phases map[string]time.Duration, err error) obs.QueryRecord {
+	rec := obs.QueryRecord{
 		Source:        meta.Source,
 		Step:          meta.Step,
-		WallMS:        float64(meta.Wall) / float64(time.Millisecond),
-		Rows:          meta.Rows,
+		WallMS:        float64(wall) / float64(time.Millisecond),
+		PhaseMS:       obs.PhaseMS(phases),
+		Rows:          rows,
 		Retries:       meta.Retries,
 		Plan:          meta.Plan,
 		Shards:        meta.Shards,
+		Incomplete:    meta.Incomplete,
 		SkippedShards: meta.SkippedShards,
 		CacheHit:      meta.CacheHit,
 		Coalesced:     meta.Coalesced,
 		QueueWaitMS:   float64(meta.QueueWait) / float64(time.Millisecond),
 		Query:         query,
 	}
-	if meta.HasPhases {
-		entry.PhaseMS = obs.PhaseMS(meta.Phases.Map())
-	}
 	if err != nil {
-		entry.Error = err.Error()
+		rec.Error = err.Error()
 	}
-	l.Record(entry)
+	return rec
 }
 
 // querySpan opens the per-query trace span: the explicit span from

@@ -32,11 +32,9 @@ type Server struct {
 	// protocol front end over an arbitrary Client (a scatter-gather
 	// coordinator, a resilient remote). See NewClientServer.
 	client Client
-	// MaxQueryLen bounds accepted query text; defaults to 1 MiB.
-	//
-	// Deprecated: set it via WithMaxQueryLen at construction instead
-	// of mutating the field afterwards.
-	MaxQueryLen int
+	// maxQueryLen bounds accepted query text (WithMaxQueryLen);
+	// defaults to 1 MiB.
+	maxQueryLen int
 
 	reg     *obs.Registry
 	m       *serverMetrics
@@ -84,9 +82,9 @@ const CacheHeader = "X-Re2xolap-Cache"
 // WithMaxQueryLen, WithWorkers.
 func NewServer(st *store.Store, opts ...Option) *Server {
 	o := applyOptions(opts)
-	s := &Server{engine: sparql.NewEngine(st), st: st, MaxQueryLen: 1 << 20, slow: o.slow, traces: o.traceSink, queries: o.queryLog, ready: o.ready, routes: o.routes}
+	s := &Server{engine: sparql.NewEngine(st), st: st, maxQueryLen: 1 << 20, slow: o.slow, traces: o.traceSink, queries: o.queryLog, ready: o.ready, routes: o.routes}
 	if o.maxQueryLen > 0 {
-		s.MaxQueryLen = o.maxQueryLen
+		s.maxQueryLen = o.maxQueryLen
 	}
 	if o.workers != nil {
 		s.engine.Exec.Workers = *o.workers
@@ -112,9 +110,9 @@ func NewServer(st *store.Store, opts ...Option) *Server {
 // via the X-Re2xolap-Incomplete response header.
 func NewClientServer(c Client, opts ...Option) *Server {
 	o := applyOptions(opts)
-	s := &Server{client: c, MaxQueryLen: 1 << 20, slow: o.slow, traces: o.traceSink, queries: o.queryLog, ready: o.ready, tenantHeader: o.tenantHeader, routes: o.routes}
+	s := &Server{client: c, maxQueryLen: 1 << 20, slow: o.slow, traces: o.traceSink, queries: o.queryLog, ready: o.ready, tenantHeader: o.tenantHeader, routes: o.routes}
 	if o.maxQueryLen > 0 {
-		s.MaxQueryLen = o.maxQueryLen
+		s.maxQueryLen = o.maxQueryLen
 	}
 	if reg := o.registry; reg != nil {
 		s.reg = reg
@@ -140,13 +138,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	}
 	return m
 }
-
-// Engine exposes the server's query engine so callers can tune its
-// execution options (e.g. worker count) before serving.
-//
-// Deprecated: prefer WithWorkers/WithRegistry at construction; poking
-// engine fields after the server starts serving races live queries.
-func (s *Server) Engine() *sparql.Engine { return s.engine }
 
 // outcome buckets an execution error for the request counter.
 func requestOutcome(err error) string {
@@ -188,7 +179,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if ct == "application/sparql-query" || strings.HasPrefix(ct, "application/sparql-query;") {
 			// SPARQL 1.1 protocol "query via POST directly": the body
 			// IS the query, so cap the read at the same length bound.
-			body, err := io.ReadAll(io.LimitReader(r.Body, int64(s.MaxQueryLen)+1))
+			body, err := io.ReadAll(io.LimitReader(r.Body, int64(s.maxQueryLen)+1))
 			if err != nil {
 				http.Error(w, "malformed request body", http.StatusBadRequest)
 				s.m.countRequest("bad_request", time.Since(start))
@@ -213,7 +204,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.m.countRequest("bad_request", time.Since(start))
 		return
 	}
-	if len(query) > s.MaxQueryLen {
+	if len(query) > s.maxQueryLen {
 		http.Error(w, "query too long", http.StatusRequestEntityTooLarge)
 		s.m.countRequest("bad_request", time.Since(start))
 		return
@@ -299,8 +290,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		wall := time.Since(start)
 		s.m.countRequest(requestOutcome(err), wall)
-		s.recordSlow(query, wall, pt, 0, meta, err)
-		s.recordRing(query, wall, pt, meta, 0, err)
+		s.record(query, meta, 0, wall, pt, 0, err)
 		return
 	}
 
@@ -316,90 +306,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if s.m != nil {
 			s.m.serialize.ObserveDuration(ser)
 		}
-		s.recordSlowWithSerialize(query, wall, pt, res.Len(), meta, ser)
-		s.recordRing(query, wall, pt, meta, res.Len(), nil)
+		s.record(query, meta, res.Len(), wall, pt, ser, nil)
 	}
 }
 
-// recordRing appends one served query's profile summary to the
-// /debug/queries ring. nil-safe (ring absent).
-func (s *Server) recordRing(query string, wall time.Duration, pt sparql.PhaseTimings, meta QueryMeta, rows int, err error) {
-	if s.queries == nil {
-		return
-	}
-	rec := obs.QueryRecord{
-		Source:     "server",
-		Step:       meta.Step,
-		Plan:       meta.Plan,
-		WallMS:     float64(wall) / float64(time.Millisecond),
-		Rows:       rows,
-		PhaseMS:    obs.PhaseMS(pt.Map()),
-		Shards:        meta.Shards,
-		Incomplete:    meta.Incomplete,
-		SkippedShards: meta.SkippedShards,
-		CacheHit:      meta.CacheHit,
-		Coalesced:     meta.Coalesced,
-		QueueWaitMS:   float64(meta.QueueWait) / float64(time.Millisecond),
-		Query:         query,
-	}
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	s.queries.Record(rec)
-}
-
-// recordSlow feeds the structured slow-query log from the server side
-// (phase breakdown, no serialize component).
-func (s *Server) recordSlow(query string, wall time.Duration, pt sparql.PhaseTimings, rows int, meta QueryMeta, err error) {
-	if !s.slow.Slow(wall) {
-		return
-	}
-	entry := obs.SlowQuery{
-		Source:        "server",
-		Step:          meta.Step,
-		WallMS:        float64(wall) / float64(time.Millisecond),
-		PhaseMS:       obs.PhaseMS(pt.Map()),
-		Rows:          rows,
-		Retries:       meta.Retries,
-		Plan:          meta.Plan,
-		Shards:        meta.Shards,
-		SkippedShards: meta.SkippedShards,
-		CacheHit:      meta.CacheHit,
-		Coalesced:     meta.Coalesced,
-		QueueWaitMS:   float64(meta.QueueWait) / float64(time.Millisecond),
-		Query:         query,
-	}
-	if err != nil {
-		entry.Error = err.Error()
-	}
-	s.slow.Record(entry)
-}
-
-// recordSlowWithSerialize adds the serialization phase to the
-// breakdown.
-func (s *Server) recordSlowWithSerialize(query string, wall time.Duration, pt sparql.PhaseTimings, rows int, meta QueryMeta, ser time.Duration) {
-	if !s.slow.Slow(wall) {
+// record feeds one served query to the slow-query log and the
+// /debug/queries ring. ser is the serialization time, added to the
+// engine phases.
+func (s *Server) record(query string, meta QueryMeta, rows int, wall time.Duration, pt sparql.PhaseTimings, ser time.Duration, err error) {
+	if s.queries == nil && !s.slow.Slow(wall) {
 		return
 	}
 	phases := pt.Map()
 	if ser > 0 {
 		phases["serialize"] = ser
 	}
-	s.slow.Record(obs.SlowQuery{
-		Source:        "server",
-		Step:          meta.Step,
-		WallMS:        float64(wall) / float64(time.Millisecond),
-		PhaseMS:       obs.PhaseMS(phases),
-		Rows:          rows,
-		Retries:       meta.Retries,
-		Plan:          meta.Plan,
-		Shards:        meta.Shards,
-		SkippedShards: meta.SkippedShards,
-		CacheHit:      meta.CacheHit,
-		Coalesced:     meta.Coalesced,
-		QueueWaitMS:   float64(meta.QueueWait) / float64(time.Millisecond),
-		Query:         query,
-	})
+	meta.Source = "server"
+	rec := newQueryRecord(query, meta, rows, wall, phases, err)
+	s.slow.Record(rec)
+	s.queries.Record(rec)
 }
 
 // serialize writes res in the negotiated format.

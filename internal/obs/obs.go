@@ -306,9 +306,12 @@ func labelKey(labels []Label) string {
 }
 
 // lookup returns (creating if needed) the instance for name+labels,
-// enforcing kind consistency. Mis-registering the same name as two
-// kinds is a programming error and panics.
-func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *instance {
+// enforcing kind consistency, and runs set on it while r.mu is held,
+// so the metric an instance carries is created exactly once even when
+// two goroutines make the first use of a series at the same time.
+// Mis-registering the same name as two kinds is a programming error
+// and panics.
+func (r *Registry) lookup(name, help string, kind metricKind, labels []Label, set func(*instance)) *instance {
 	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -330,6 +333,7 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *i
 		in = &instance{labels: sorted}
 		f.instances[key] = in
 	}
+	set(in)
 	return in
 }
 
@@ -359,11 +363,11 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	in := r.lookup(name, help, kindCounter, labels)
-	if in.c == nil {
-		in.c = &Counter{}
-	}
-	return in.c
+	return r.lookup(name, help, kindCounter, labels, func(in *instance) {
+		if in.c == nil {
+			in.c = &Counter{}
+		}
+	}).c
 }
 
 // Gauge returns the gauge for name+labels, creating it on first use.
@@ -371,11 +375,11 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	in := r.lookup(name, help, kindGauge, labels)
-	if in.g == nil {
-		in.g = &Gauge{}
-	}
-	return in.g
+	return r.lookup(name, help, kindGauge, labels, func(in *instance) {
+		if in.g == nil {
+			in.g = &Gauge{}
+		}
+	}).g
 }
 
 // GaugeFunc registers a gauge whose value is sampled by calling fn at
@@ -385,8 +389,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	if r == nil {
 		return
 	}
-	in := r.lookup(name, help, kindGaugeFunc, labels)
-	in.fn = fn
+	r.lookup(name, help, kindGaugeFunc, labels, func(in *instance) { in.fn = fn })
 }
 
 // Histogram returns the histogram for name+labels, creating it with
@@ -397,9 +400,9 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	if r == nil {
 		return nil
 	}
-	in := r.lookup(name, help, kindHistogram, labels)
-	if in.h == nil {
-		in.h = NewHistogram(bounds)
-	}
-	return in.h
+	return r.lookup(name, help, kindHistogram, labels, func(in *instance) {
+		if in.h == nil {
+			in.h = NewHistogram(bounds)
+		}
+	}).h
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -40,6 +41,29 @@ func TestLabeledSeriesAreDistinct(t *testing.T) {
 	y := r.Counter("multi_total", "h", L("b", "2"), L("a", "1"))
 	if x != y {
 		t.Fatal("label order changed series identity")
+	}
+}
+
+// TestRegistryConcurrentFirstUse: goroutines racing to make the first
+// use of one series must all get the same counter, so no increment is
+// lost (run under -race, this also catches an unsynchronized create).
+func TestRegistryConcurrentFirstUse(t *testing.T) {
+	reg := NewRegistry()
+	const n = 64
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			reg.Counter("first_use_total", "").Inc()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := reg.Counter("first_use_total", "").Value(); got != n {
+		t.Fatalf("counter = %d after %d concurrent first uses, want %d", got, n, n)
 	}
 }
 
@@ -138,11 +162,11 @@ func TestSlowLog(t *testing.T) {
 	var buf strings.Builder
 	l := NewSlowLog(&buf, 100*time.Millisecond)
 	l.now = func() time.Time { return time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC) }
-	l.Record(SlowQuery{Source: "test", WallMS: 50, Query: "SELECT fast"})
+	l.Record(QueryRecord{Source: "test", WallMS: 50, Query: "SELECT fast"})
 	if buf.Len() != 0 {
 		t.Fatalf("fast query logged: %q", buf.String())
 	}
-	l.Record(SlowQuery{
+	l.Record(QueryRecord{
 		Source: "test", Step: "witness", WallMS: 250, Rows: 3,
 		PhaseMS: map[string]float64{"join": 200.5},
 		Query:   "SELECT slow",
@@ -167,7 +191,7 @@ func TestSlowLog(t *testing.T) {
 func TestSlowLogTruncatesQuery(t *testing.T) {
 	var buf strings.Builder
 	l := NewSlowLog(&buf, 0)
-	l.Record(SlowQuery{Source: "test", WallMS: 1, Query: strings.Repeat("x", 3*maxSlowQueryLen)})
+	l.Record(QueryRecord{Source: "test", WallMS: 1, Query: strings.Repeat("x", 3*maxSlowQueryLen)})
 	if !strings.Contains(buf.String(), "...(truncated)") {
 		t.Fatal("oversized query was not truncated")
 	}

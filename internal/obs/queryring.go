@@ -25,26 +25,34 @@ type ShardCall struct {
 	Error     string  `json:"error,omitempty"`
 }
 
-// QueryRecord is one entry of the query ring buffer: a structured
-// profile summary of one served query, the JSON the /debug/queries
-// endpoint returns.
+// QueryRecord is the structured summary of one query: a line of the
+// slow-query log and an entry of the /debug/queries ring. Durations
+// are milliseconds so the log is directly plottable.
 type QueryRecord struct {
-	Time   string `json:"time"`
-	Source string `json:"source,omitempty"`
-	Step   string `json:"step,omitempty"` // issuing workflow step tag
-	// Plan is the federation plan class (colocated/partial_agg/gather)
-	// when the query went through a shard coordinator.
-	Plan       string             `json:"plan,omitempty"`
-	WallMS     float64            `json:"wall_ms"`
-	Rows       int                `json:"rows"`
-	PhaseMS    map[string]float64 `json:"phase_ms,omitempty"`
-	Shards     []ShardCall        `json:"shards,omitempty"`
-	Incomplete bool               `json:"incomplete,omitempty"`
-	// SkippedShards lists the shard indices a degraded-mode answer was
-	// served without (Incomplete is then true).
+	Time   string  `json:"time"`
+	Source string  `json:"source"`         // "inprocess", "http", "resilient", "server"
+	Step   string  `json:"step,omitempty"` // issuing workflow step tag
+	WallMS float64 `json:"wall_ms"`
+	// PhaseMS breaks the wall time into engine phases
+	// (parse/plan/join/aggregate/sort/serialize) when the executing
+	// layer reports them.
+	PhaseMS map[string]float64 `json:"phase_ms,omitempty"`
+	Rows    int                `json:"rows"`
+	Retries int                `json:"retries,omitempty"`
+	// Plan and Shards describe federated execution: the coordinator's
+	// plan class (colocated/partial_agg/bound_join/gather) and the
+	// per-shard attempt/retry/row accounting.
+	Plan   string      `json:"plan,omitempty"`
+	Shards []ShardCall `json:"shards,omitempty"`
+	// Incomplete marks a degraded-mode answer; SkippedShards lists the
+	// shard indices it was served without.
+	Incomplete    bool  `json:"incomplete,omitempty"`
 	SkippedShards []int `json:"skipped_shards,omitempty"`
-	// CacheHit and Coalesced report serve-layer handling; QueueWaitMS
-	// is admission-control queue time (see SlowQuery for semantics).
+	// CacheHit and Coalesced report serve-layer handling: answered
+	// from the result cache, or deduplicated onto a concurrent
+	// identical execution. QueueWaitMS is admission-control queue time
+	// — a "slow" query that spent its wall time queued is then
+	// distinguishable from one that was slow to join.
 	CacheHit    bool    `json:"cache_hit,omitempty"`
 	Coalesced   bool    `json:"coalesced,omitempty"`
 	QueueWaitMS float64 `json:"queue_wait_ms,omitempty"`

@@ -17,10 +17,12 @@ package serve
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	"re2xolap/internal/endpoint"
+	"re2xolap/internal/lru"
 	"re2xolap/internal/obs"
 	"re2xolap/internal/sparql"
 )
@@ -99,10 +101,10 @@ func WithoutSingleFlight() Option {
 // log, the /debug/queries ring, and HTTP response headers.
 type Stack struct {
 	inner  endpoint.Client
-	cache  *lru // nil = cache disabled
-	canon  *lru // query text → canonical form ("" memoizes a parse failure)
-	flight *flightGroup
-	adm    *admission // nil = admission disabled
+	cache  *lru.Cache[*cachedAnswer] // nil = cache disabled
+	canon  *lru.Cache[string]        // query text → canonical form ("" memoizes a parse failure)
+	flight *lru.Group[flightAnswer]  // nil = single-flight disabled
+	adm    *admission                // nil = admission disabled
 	m      *metrics
 	slo    *Tracker // nil = SLO tracking disabled
 	genFn  func() uint64
@@ -129,7 +131,7 @@ func New(inner endpoint.Client, opts ...Option) *Stack {
 	names := newTenantNames(maxTenants)
 	s := &Stack{
 		inner:         inner,
-		canon:         newLRU(canonMemoSize),
+		canon:         lru.New[string](canonMemoSize),
 		m:             newMetrics(cfg.reg, names),
 		genFn:         cfg.genFn,
 		defaultTenant: "default",
@@ -141,12 +143,12 @@ func New(inner endpoint.Client, opts ...Option) *Stack {
 		s.slo = newTracker(*cfg.slo, cfg.reg, names)
 	}
 	if cfg.cacheSize > 0 {
-		s.cache = newLRU(cfg.cacheSize)
+		s.cache = lru.New[*cachedAnswer](cfg.cacheSize)
 		cfg.reg.GaugeFunc("re2xolap_result_cache_entries",
-			"Result-cache occupancy.", func() float64 { return float64(s.cache.len()) })
+			"Result-cache occupancy.", func() float64 { return float64(s.cache.Len()) })
 	}
 	if !cfg.noFlight {
-		s.flight = newFlightGroup()
+		s.flight = &lru.Group[flightAnswer]{}
 	}
 	if cfg.admission != nil {
 		s.adm = newAdmission(*cfg.admission, s.m)
@@ -221,9 +223,8 @@ func (s *Stack) queryX(ctx context.Context, req endpoint.Request) (*sparql.Resul
 
 	key := cacheKey(canonical, s.generation())
 	if s.cache != nil {
-		if v, hit := s.cache.get(key); hit {
+		if ans, hit := s.cache.Get(key); hit {
 			s.m.hit()
-			ans := v.(*cachedAnswer)
 			meta := s.derivedMeta(ans.meta, req, start)
 			meta.CacheHit = true
 			return ans.res, meta, nil
@@ -236,17 +237,27 @@ func (s *Stack) queryX(ctx context.Context, req endpoint.Request) (*sparql.Resul
 		s.store(key, res, meta, err)
 		return res, meta, err
 	}
-	res, meta, led, err := s.flight.do(ctx, key, func() (*sparql.Results, endpoint.QueryMeta, error) {
-		r, m, e := s.execute(ctx, req)
-		s.store(key, r, m, e)
-		return r, m, e
-	})
-	if !led {
+	for {
+		ans, shared, err := s.flight.Do(ctx, key, func() (flightAnswer, error) {
+			r, m, e := s.execute(ctx, req)
+			s.store(key, r, m, e)
+			return flightAnswer{cachedAnswer{res: r, meta: m}, e != nil && ctx.Err() != nil}, e
+		})
+		if !shared {
+			return ans.res, ans.meta, err
+		}
+		// A leader that failed because its own caller went away holds an
+		// error that was never this follower's: a follower whose context
+		// is still live runs the query itself. Every other leader error
+		// is shared, so a failing query still costs one execution.
+		if ans.abandoned && ctx.Err() == nil {
+			continue
+		}
 		s.m.coalesce()
-		meta = s.derivedMeta(meta, req, start)
+		meta := s.derivedMeta(ans.meta, req, start)
 		meta.Coalesced = true
+		return ans.res, meta, err
 	}
-	return res, meta, err
 }
 
 // execute is the non-shared tail of the pipeline: admission, then the
@@ -291,17 +302,16 @@ func (s *Stack) derivedMeta(from endpoint.QueryMeta, req endpoint.Request, start
 // remembers failures too, as ""); the caller falls through to the
 // inner client for the authoritative error.
 func (s *Stack) canonical(query string) (string, bool) {
-	if v, ok := s.canon.get(query); ok {
-		c := v.(string)
+	if c, ok := s.canon.Get(query); ok {
 		return c, c != ""
 	}
 	q, err := sparql.Parse(query)
 	if err != nil {
-		s.canon.put(query, "")
+		s.canon.Put(query, "")
 		return "", false
 	}
 	c := q.String()
-	s.canon.put(query, c)
+	s.canon.Put(query, c)
 	return c, true
 }
 
@@ -339,7 +349,7 @@ type StackStats struct {
 func (s *Stack) Stats() StackStats {
 	var st StackStats
 	if s.cache != nil {
-		st.CacheEntries = int64(s.cache.len())
+		st.CacheEntries = int64(s.cache.Len())
 	}
 	if s.m != nil {
 		st.CacheHits = s.m.cacheHits.Value()
@@ -361,5 +371,31 @@ func (s *Stack) store(key string, res *sparql.Results, meta endpoint.QueryMeta, 
 	if s.cache == nil || err != nil || res == nil || meta.Incomplete {
 		return
 	}
-	s.m.evicted(s.cache.put(key, &cachedAnswer{res: res, meta: meta}))
+	s.m.evicted(s.cache.Put(key, &cachedAnswer{res: res, meta: meta}))
+}
+
+// cachedAnswer is one execution's outcome: the shared (immutable by
+// contract) result set plus the execution metadata that hits and
+// coalesced followers derive their own from. The same result pointer
+// serves every hit, which is what makes cached answers byte-identical
+// to the original execution.
+type cachedAnswer struct {
+	res  *sparql.Results
+	meta endpoint.QueryMeta
+}
+
+// flightAnswer is what a single-flight leader hands its followers:
+// its outcome, and whether it failed because its own context ended.
+type flightAnswer struct {
+	cachedAnswer
+	abandoned bool
+}
+
+// cacheKey builds the result-cache key: canonical query text scoped by
+// the store generation, so a mutation (which advances the generation)
+// orphans every entry cached under the old one — natural invalidation
+// with no cross-process coordination. Orphaned entries age out of the
+// LRU.
+func cacheKey(canonical string, gen uint64) string {
+	return strconv.FormatUint(gen, 36) + "\x00" + canonical
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"re2xolap/internal/endpoint"
+	"re2xolap/internal/obs"
 	"re2xolap/internal/sparql"
 )
 
@@ -77,57 +78,46 @@ func TestClassifyTaxonomy(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLRU pins the cache mechanics: hits, misses, and
-// least-recently-used eviction at capacity.
+// TestPlanCacheLRU pins the coordinator's use of its plan cache: a
+// repeated text hits, a capacity-2 cache evicts the least recently
+// planned text, and the hit/miss/evict/size series count each step.
+// The LRU mechanics themselves are tested in internal/lru.
 func TestPlanCacheLRU(t *testing.T) {
-	pc := newPlanCache(2, nil)
-	mk := func(text string) queryPlan {
-		q, err := sparql.Parse(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return classify(q)
+	ts := determinismTriples()
+	parts := Partitioner{N: 2}.Split(ts)
+	backends := make([]endpoint.Client, 2)
+	for i := range backends {
+		backends[i] = endpoint.NewInProcess(storeFromTriples(t, parts[i]))
 	}
+	reg := obs.NewRegistry()
+	c, err := New(backends, WithoutResilience(), WithPlanCache(2), WithRegistry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	a := `SELECT ?s WHERE { ?s <http://t/a> ?x }`
 	b := `SELECT ?s WHERE { ?s <http://t/b> ?x }`
-	c := `SELECT ?s WHERE { ?s <http://t/c> ?x }`
-
-	if _, ok := pc.get(a); ok {
-		t.Fatal("empty cache reported a hit")
+	d := `SELECT ?s WHERE { ?s <http://t/c> ?x }`
+	// a, b: misses; a: hit; d: miss evicting b; b: miss evicting a.
+	for _, q := range []string{a, b, a, d, b} {
+		if _, _, err := c.QueryX(context.Background(), endpoint.Request{Query: q}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	pc.put(a, mk(a))
-	pc.put(b, mk(b))
-	if _, ok := pc.get(a); !ok {
-		t.Fatal("miss on cached entry")
+	for name, want := range map[string]int64{
+		"re2xolap_shard_plan_cache_hits_total":      1,
+		"re2xolap_shard_plan_cache_misses_total":    4,
+		"re2xolap_shard_plan_cache_evictions_total": 2,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
-	// a was just touched, so inserting c at capacity evicts b.
-	pc.put(c, mk(c))
-	if pc.len() != 2 {
-		t.Fatalf("cache has %d entries, want 2", pc.len())
+	if got := reg.Gauge("re2xolap_shard_plan_cache_size", "").Value(); got != 2 {
+		t.Errorf("plan cache size gauge = %d, want 2", got)
 	}
-	if _, ok := pc.get(b); ok {
-		t.Fatal("LRU entry b survived eviction")
-	}
-	if _, ok := pc.get(a); !ok {
-		t.Fatal("recently used entry a was evicted")
-	}
-	if _, ok := pc.get(c); !ok {
-		t.Fatal("newest entry c missing")
-	}
-	// Re-putting an existing key must not grow the cache.
-	pc.put(a, mk(a))
-	if pc.len() != 2 {
-		t.Fatalf("cache grew to %d on re-put", pc.len())
-	}
-
-	// A nil cache (caching disabled) is a no-op, not a crash.
-	var off *planCache
-	if _, ok := off.get(a); ok {
-		t.Fatal("nil cache reported a hit")
-	}
-	off.put(a, mk(a))
-	if off.len() != 0 {
-		t.Fatal("nil cache reported entries")
+	if _, ok := c.cache.Get(a); ok {
+		t.Error("least recently planned text a survived eviction")
 	}
 }
 
@@ -185,8 +175,8 @@ func TestPlanCacheParseErrors(t *testing.T) {
 	if _, _, err := c.QueryX(context.Background(), endpoint.Request{Query: `SELECT WHERE {`}); err == nil {
 		t.Fatal("malformed query did not error")
 	}
-	if c.cache.len() != 0 {
-		t.Fatalf("parse failure was cached (%d entries)", c.cache.len())
+	if c.cache.Len() != 0 {
+		t.Fatalf("parse failure was cached (%d entries)", c.cache.Len())
 	}
 }
 
@@ -243,7 +233,7 @@ func TestGatherFetchDedupe(t *testing.T) {
 	// and the constant-subject pattern share <knows>.
 	ts := determinismTriples()
 	q := `SELECT ?a ?b ?x WHERE { ?a <http://t/knows>+ ?b . <http://t/p1> <http://t/knows> ?x } ORDER BY ?a ?b ?x`
-	coord := newTopology(t, ts, 3, Config{})
+	coord := newTopology(t, ts, 3)
 	defer coord.Close()
 	res, meta, err := coord.QueryX(context.Background(), endpoint.Request{Query: q})
 	if err != nil {

@@ -9,66 +9,11 @@ import (
 	"time"
 
 	"re2xolap/internal/endpoint"
+	"re2xolap/internal/lru"
 	"re2xolap/internal/obs"
 	"re2xolap/internal/par"
 	"re2xolap/internal/sparql"
 )
-
-// Config tunes a Coordinator. The zero value is usable: full
-// resilience with the default policy, strict (non-degraded) failure
-// handling, scatter width = shard count, no prober, no hedging, no
-// metrics, plan cache on at DefaultPlanCacheSize.
-//
-// Deprecated: Config is kept one release as a migration adapter —
-// pass it through WithConfig. New code composes the With* Options
-// directly (see options.go).
-type Config struct {
-	// Workers bounds scatter concurrency and the local engine workers
-	// on the gather path; <= 0 means one goroutine per shard.
-	Workers int
-	// Degraded serves partial results when shards fail: failed shards
-	// are skipped and the answer's QueryMeta.Incomplete is set, with
-	// the skipped shard indices in QueryMeta.SkippedShards. When false
-	// any shard failure fails the query (first error by shard index).
-	// An all-shards failure is an error in either mode. A shard only
-	// counts as failed once every one of its replicas has been tried.
-	Degraded bool
-	// Policy is the per-replica resilience policy; nil means
-	// endpoint.DefaultPolicy(). Each replica not already resilient is
-	// wrapped in its own endpoint.NewResilient, so one misbehaving
-	// replica trips only its own breaker.
-	Policy *endpoint.Policy
-	// NoResilience skips the per-replica ResilientClient wrapping
-	// (tests, or callers that bring their own).
-	NoResilience bool
-	// Health configures the background replica prober; a zero Interval
-	// disables it (failover alone then handles faults, and Ready
-	// reports ready immediately).
-	Health HealthConfig
-	// HedgeAfter, when > 0, hedges slow shard calls: if the preferred
-	// replica has not answered within this budget, the same query is
-	// also sent to the next candidate replica and the first answer
-	// wins. Replicas hold identical partitions, so hedging cannot
-	// change result bytes — only tail latency.
-	HedgeAfter time.Duration
-	// Registry receives the coordinator metrics: per-shard call
-	// counters/latency/failovers, per-replica health gauges and probe
-	// latency, plan counters, fan-out and in-flight gauges, merge-phase
-	// timings, hedge and topology-reload counters, degraded-mode
-	// counters.
-	Registry *obs.Registry
-	// PlanCacheSize caps the coordinator plan cache (parse + classify +
-	// rewrite memoized by query text, LRU eviction): 0 means
-	// DefaultPlanCacheSize, negative disables caching.
-	PlanCacheSize int
-	// BoundJoinChunk caps the VALUES rows shipped per bound-join fetch
-	// query; <= 0 means DefaultBoundJoinChunk.
-	BoundJoinChunk int
-	// Fleet, when non-nil, enables the fleet metrics collector: the
-	// coordinator scrapes every HTTP replica's /metrics and serves the
-	// merged exposition via FleetHandler (see FleetConfig).
-	Fleet *FleetConfig
-}
 
 // view is one immutable resolved topology generation. Queries load
 // the pointer once and use that view end to end, so a concurrent
@@ -83,9 +28,9 @@ type view struct {
 // set — behind the endpoint.Client and endpoint.QuerierX interfaces.
 // It is safe for concurrent use.
 type Coordinator struct {
-	cfg   Config
+	cfg   config
 	m     *metrics
-	cache *planCache // nil when caching is disabled
+	cache *lru.Cache[queryPlan] // nil when caching is disabled
 	topo  Topology
 	dial  Dialer
 
@@ -97,7 +42,7 @@ type Coordinator struct {
 	probeCancel context.CancelFunc
 	probeDone   chan struct{}
 
-	fleet *fleetCollector // nil unless Config.Fleet is set
+	fleet *fleetCollector // nil unless WithFleet is set
 }
 
 // New builds a coordinator over single-replica shards (index = shard
@@ -173,7 +118,7 @@ func NewDynamic(topo Topology, dial Dialer, opts ...Option) (*Coordinator, error
 
 // newCoordinator sets up the shared shell: config, metrics whose
 // gauges read whatever view is current, and the plan cache.
-func newCoordinator(cfg Config) *Coordinator {
+func newCoordinator(cfg config) *Coordinator {
 	c := &Coordinator{cfg: cfg}
 	c.m = newMetrics(cfg.Registry,
 		func() float64 { return float64(len(c.currentView().groups)) },
@@ -189,26 +134,37 @@ func newCoordinator(cfg Config) *Coordinator {
 		size = DefaultPlanCacheSize
 	}
 	if size > 0 {
-		c.cache = newPlanCache(size, c.m)
+		c.cache = lru.New[queryPlan](size)
 	}
 	return c
 }
 
 // planFor resolves a query text to its plan, consulting the cache
-// first. Plans are pure functions of the text, so a hit skips parse,
-// classification, and rewrite entirely. Parse failures are not
-// cached: the caller turns them into permanent errors and malformed
-// text should not occupy capacity.
+// first. Every cached artifact — the parsed AST, the plan kind, the
+// partial-agg and bound-join rewrites — is a pure function of the text
+// and read-only after construction, so a hit skips parse,
+// classification, and rewrite entirely and entries are shared across
+// concurrent queries without copying; plans never go stale, they only
+// fall out of a full cache. Parse failures are not cached: the caller
+// turns them into permanent errors and malformed text should not
+// occupy capacity.
 func (c *Coordinator) planFor(text string) (queryPlan, error) {
-	if p, ok := c.cache.get(text); ok {
-		return p, nil
+	if c.cache != nil {
+		if p, ok := c.cache.Get(text); ok {
+			c.m.planCacheHit()
+			return p, nil
+		}
+		c.m.planCacheMiss()
 	}
 	q, err := sparql.Parse(text)
 	if err != nil {
 		return queryPlan{}, err
 	}
 	p := classify(q)
-	c.cache.put(text, p)
+	if c.cache != nil {
+		c.m.planCacheEvict(c.cache.Put(text, p))
+		c.m.planCacheSize(c.cache.Len())
+	}
 	return p, nil
 }
 

@@ -200,11 +200,11 @@ func (m *metrics) planCacheMiss() {
 	m.cacheMisses.Inc()
 }
 
-func (m *metrics) planCacheEvict() {
-	if m == nil {
+func (m *metrics) planCacheEvict(n int) {
+	if m == nil || n == 0 {
 		return
 	}
-	m.cacheEvicts.Inc()
+	m.cacheEvicts.Add(int64(n))
 }
 
 func (m *metrics) planCacheSize(n int) {

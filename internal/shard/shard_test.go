@@ -132,7 +132,7 @@ func TestDegradedMode(t *testing.T) {
 	if !meta.Incomplete {
 		t.Fatal("degraded answer must set Incomplete")
 	}
-	full := newTopology(t, ts, 3, Config{})
+	full := newTopology(t, ts, 3)
 	fres, _, err := full.QueryX(context.Background(), endpoint.Request{Query: query})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestDegradedMode(t *testing.T) {
 func TestCoordinatorConcurrent(t *testing.T) {
 	ts := determinismTriples()
 	reg := obs.NewRegistry()
-	c := newTopology(t, ts, 3, Config{Registry: reg})
+	c := newTopology(t, ts, 3, WithRegistry(reg))
 	queries := []string{
 		`SELECT ?s ?v WHERE { ?s <http://t/value> ?v } ORDER BY DESC(?v) LIMIT 4`,
 		`SELECT ?r (COUNT(?v) AS ?n) WHERE { ?s <http://t/region> ?r . ?s <http://t/value> ?v } GROUP BY ?r ORDER BY ?r`,
@@ -239,7 +239,7 @@ func TestCoordinatorConcurrent(t *testing.T) {
 func TestCoordinatorMetrics(t *testing.T) {
 	ts := determinismTriples()
 	reg := obs.NewRegistry()
-	c := newTopology(t, ts, 3, Config{Registry: reg})
+	c := newTopology(t, ts, 3, WithRegistry(reg))
 	ctx := context.Background()
 	queries := []string{
 		`SELECT ?s WHERE { ?s <http://t/region> ?r } LIMIT 2`,
